@@ -225,10 +225,25 @@ pub fn check_traced_pipeline(np: u32, fault_seeds: u64, schedules: u64) -> Fault
     )
 }
 
+/// Low-density traced pipeline under faults (see
+/// [`workloads::sparse_pipeline`]): one walk per rank, so hostile plans
+/// hit rounds that carry a whole frontier of wants each.
+#[must_use]
+pub fn check_sparse_pipeline(np: u32, fault_seeds: u64, schedules: u64) -> FaultSweepReport {
+    sweep_workload(
+        "sparse-pipeline",
+        np,
+        fault_seeds,
+        schedules,
+        false,
+        workloads::sparse_pipeline,
+    )
+}
+
 /// The full fault sweep CI runs: all workloads, fault seeds × schedules.
 ///
-/// The traced pipeline is much heavier per run than the other workloads,
-/// so its fault-seed count is capped (the cap is printed by the CLI, not
+/// The traced pipelines are much heavier per run than the other workloads,
+/// so their fault-seed count is capped (the cap is printed by the CLI, not
 /// silently applied) — the cheap workloads carry the breadth of the seed
 /// sweep, the pipeline carries the depth of the protocol stack.
 #[must_use]
@@ -240,10 +255,11 @@ pub fn check_all(fault_seeds: u64) -> Vec<FaultSweepReport> {
         reports.push(check_abm(np, fault_seeds, schedules));
     }
     reports.push(check_traced_pipeline(2, pipeline_seed_cap(fault_seeds), 2));
+    reports.push(check_sparse_pipeline(8, pipeline_seed_cap(fault_seeds), 2));
     reports
 }
 
-/// Fault-seed budget for the traced pipeline inside [`check_all`].
+/// Fault-seed budget for the traced pipelines inside [`check_all`].
 #[must_use]
 pub fn pipeline_seed_cap(fault_seeds: u64) -> u64 {
     fault_seeds.min(4)
@@ -272,6 +288,13 @@ mod tests {
         assert!(rep.passed(), "{:?}", rep.failures);
         // The pipeline's result includes the trace-report JSON, so a pass
         // means the report was bitwise identical under injected faults.
+        assert!(rep.recovery.injected.total() > 0, "vacuous: nothing injected");
+    }
+
+    #[test]
+    fn sparse_pipeline_survives_hostile_plans() {
+        let rep = check_sparse_pipeline(8, 1, 1);
+        assert!(rep.passed(), "{:?}", rep.failures);
         assert!(rep.recovery.injected.total() > 0, "vacuous: nothing injected");
     }
 

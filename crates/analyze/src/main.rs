@@ -183,7 +183,7 @@ fn run_faults(args: &[String]) -> ExitCode {
     };
     let cap = faults::pipeline_seed_cap(seeds);
     if cap < seeds {
-        println!("note: traced-pipeline sweep capped at {cap} of {seeds} fault seeds (cost)");
+        println!("note: pipeline sweeps capped at {cap} of {seeds} fault seeds (cost)");
     }
     let reports = faults::check_all(seeds);
     let mut failed = false;

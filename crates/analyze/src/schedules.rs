@@ -224,6 +224,15 @@ pub fn check_traced_pipeline(np: u32, seeds: u64) -> WorkloadReport {
     check_workload("traced-pipeline", np, seeds, false, workloads::traced_pipeline)
 }
 
+/// Low-density traced pipeline (see [`workloads::sparse_pipeline`]): one
+/// sink group per rank, so each walk round carries a whole frontier of
+/// wants. Ledger, forces and per-rank request counts must be bitwise
+/// schedule-independent, exactly as for the dense pipeline.
+#[must_use]
+pub fn check_sparse_pipeline(np: u32, seeds: u64) -> WorkloadReport {
+    check_workload("sparse-pipeline", np, seeds, false, workloads::sparse_pipeline)
+}
+
 /// Adaptive-rebalance pipeline (see [`workloads::rebalance_pipeline`]):
 /// the feedback-driven repartition — re-cost from the ledger, move the
 /// cuts, migrate the key-range diff — must produce bitwise identical
@@ -247,6 +256,8 @@ pub fn check_all(seeds: u64) -> Vec<WorkloadReport> {
     for np in [2, 3] {
         reports.push(check_traced_pipeline(np, seeds));
     }
+    // Many ranks with one walk each: the frontier-gathering regime.
+    reports.push(check_sparse_pipeline(8, seeds));
     // The rebalance pipeline runs three adaptive steps per seed; one
     // multi-rank size exercises the migration protocol's receive ordering.
     reports.push(check_rebalance(3, seeds));
@@ -276,6 +287,19 @@ mod tests {
     fn traced_pipeline_ledger_is_schedule_independent() {
         let rep = check_traced_pipeline(2, 6);
         assert!(rep.passed(), "{:?}", rep.failures);
+    }
+
+    /// The low-density sweep is only meaningful if every rank really has
+    /// a single walk and its rounds really carry several keys each.
+    #[test]
+    fn sparse_pipeline_is_schedule_independent() {
+        let rep = check_sparse_pipeline(8, 4);
+        assert!(rep.passed(), "{:?}", rep.failures);
+        let out = hot_comm::RunConfig::builder().np(8).run(crate::workloads::sparse_pipeline);
+        for (rank, (_, _, _, groups, keys, rounds)) in out.results.iter().enumerate() {
+            assert_eq!(*groups, 1, "rank {rank}: not a one-group-per-rank workload");
+            assert!(keys > rounds, "rank {rank}: {keys} keys in {rounds} rounds");
+        }
     }
 
     /// The adaptive rebalance — re-cost, move cuts, migrate the diff —

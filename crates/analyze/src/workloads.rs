@@ -19,6 +19,10 @@ pub(crate) type CollectivesOut = (u64, u64, Vec<u64>, Vec<Vec<u64>>, u64, u64, u
 /// acceleration checksum, and the local body count after migration.
 pub(crate) type PipelineOut = (String, u64, usize);
 
+/// Output of [`sparse_pipeline`]: the [`PipelineOut`] triple plus this
+/// rank's sink-group count, distinct keys requested and walk rounds.
+pub(crate) type SparseOut = (String, u64, usize, usize, u64, u64);
+
 /// Output of [`rebalance_pipeline`]: the reduced trace-report JSON, an
 /// acceleration checksum, the local body count after the final step, and
 /// the run-total (rebalance steps, migrated bodies) counters.
@@ -82,6 +86,29 @@ pub(crate) fn abm_traversal(c: &mut Comm) -> (u64, u64, u64) {
 /// plan — the property the golden-snapshot test and the paper-style phase
 /// tables rely on.
 pub(crate) fn traced_pipeline(c: &mut Comm) -> PipelineOut {
+    traced_run(c, 120).0
+}
+
+/// Low-density traced pipeline: 16 bodies per rank, so each rank holds a
+/// single sink group and has no other walk to switch to. Every round then
+/// carries the many keys that frontier gathering collects for that one
+/// walk, so a pass puts many-wants-per-round request sets under the same
+/// bitwise schedule and fault checks as [`traced_pipeline`].
+pub(crate) fn sparse_pipeline(c: &mut Comm) -> SparseOut {
+    let ((json, checksum, n), stats) = traced_run(c, 16);
+    (
+        json,
+        checksum,
+        n,
+        stats.group_costs.len(),
+        stats.cell_requests + stats.body_requests,
+        stats.rounds,
+    )
+}
+
+/// One traced force evaluation over `n_per_rank` random bodies per rank:
+/// the [`PipelineOut`] triple and this rank's walk statistics.
+fn traced_run(c: &mut Comm, n_per_rank: u64) -> (PipelineOut, hot_core::dwalk::DwalkStats) {
     use hot_base::flops::FlopCounter;
     use hot_base::{Aabb, Vec3};
     use hot_core::decomp::Body;
@@ -89,7 +116,7 @@ pub(crate) fn traced_pipeline(c: &mut Comm) -> PipelineOut {
     use rand::{Rng, SeedableRng};
 
     let mut rng = rand::rngs::StdRng::seed_from_u64(1234 + u64::from(c.rank()));
-    let bodies: Vec<Body<f64>> = (0..120)
+    let bodies: Vec<Body<f64>> = (0..n_per_rank)
         .map(|i| {
             let pos = Vec3::new(rng.gen(), rng.gen(), rng.gen());
             Body {
@@ -109,7 +136,7 @@ pub(crate) fn traced_pipeline(c: &mut Comm) -> PipelineOut {
     let checksum: u64 = res.acc.iter().fold(0u64, |h, a| {
         h ^ a.x.to_bits() ^ a.y.to_bits().rotate_left(1) ^ a.z.to_bits().rotate_left(2)
     });
-    (report.to_json(), checksum, res.bodies.len())
+    ((report.to_json(), checksum, res.bodies.len()), res.stats)
 }
 
 /// Adaptive-rebalance pipeline: a clustered multi-step run under

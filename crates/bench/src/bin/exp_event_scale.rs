@@ -14,8 +14,12 @@
 //!    trees → branch exchange → latency-hiding walk) at np = 1024.
 //!
 //! Each stage asserts a wall-clock budget so CI catches a runtime that
-//! stops scaling, and everything is written to
-//! `results/BENCH_event_scale.json`.
+//! stops scaling. The treecode stage also gates the walk's round
+//! structure: at these densities each rank walks one sink group, so it
+//! has no other walk to switch to and every round is a machine-wide
+//! consensus; frontier gathering must keep each rank's request rounds at
+//! the depth of the remote descent (≤ [`MAX_WALK_ROUNDS`]), not the number
+//! of remote leaves. Everything is written to `results/BENCH_event_scale.json`.
 //!
 //! Args: `exp_event_scale [np_collectives] [np_treecode] [n_per_rank]`
 //! (defaults 6800, 1024, 24).
@@ -26,6 +30,20 @@ use hot_bench::{arg_usize, header, random_bodies, rule};
 use hot_comm::{RunConfig, Runtime};
 use hot_gravity::dist::{distributed_accelerations, DistOptions};
 use std::time::Instant;
+
+/// Per-rank walk request rounds allowed when each rank walks a single
+/// sink group (the depth of the remote descent, not its leaf count).
+const MAX_WALK_ROUNDS: u64 = 8;
+
+/// What one treecode step at scale measured.
+struct TreecodeRun {
+    wall_s: f64,
+    interactions: u64,
+    /// Request rounds, max over ranks.
+    max_rounds: u64,
+    /// Walk consensus allreduces, max over ranks.
+    max_consensus_iters: u64,
+}
 
 /// Collectives at machine size `np` on the event runtime. Returns
 /// (wall seconds, max per-rank messages sent) and checks the log-p
@@ -63,8 +81,7 @@ fn collectives_at(np: u32) -> (f64, u64) {
 }
 
 /// One reduced-N treecode force evaluation at `np` on the event runtime.
-/// Returns (wall seconds, total interactions).
-fn treecode_at(np: u32, n_per_rank: usize) -> (f64, u64) {
+fn treecode_at(np: u32, n_per_rank: usize) -> TreecodeRun {
     let t0 = Instant::now();
     let out = RunConfig::builder()
         .np(np)
@@ -74,11 +91,17 @@ fn treecode_at(np: u32, n_per_rank: usize) -> (f64, u64) {
             let bodies = random_bodies(c.rank(), n_per_rank, 7);
             let counter = FlopCounter::new();
             let opts = DistOptions { eps2: 1e-8, ..Default::default() };
-            let res = distributed_accelerations(c, bodies, Aabb::unit(), &opts, &counter);
-            res.stats.walk.interactions()
+            let s = distributed_accelerations(c, bodies, Aabb::unit(), &opts, &counter).stats;
+            (s.walk.interactions(), s.rounds, s.consensus_iters)
         });
-    let wall = t0.elapsed().as_secs_f64();
-    (wall, out.results.iter().sum())
+    let wall_s = t0.elapsed().as_secs_f64();
+    let r = &out.results;
+    TreecodeRun {
+        wall_s,
+        interactions: r.iter().map(|x| x.0).sum(),
+        max_rounds: r.iter().map(|x| x.1).max().unwrap_or(0),
+        max_consensus_iters: r.iter().map(|x| x.2).max().unwrap_or(0),
+    }
 }
 
 fn main() {
@@ -100,11 +123,12 @@ fn main() {
     }
 
     // Stage 2: a full treecode step at np = 1024.
-    let (tree_wall, interactions) = treecode_at(np_tree, n_per_rank);
+    let tc = treecode_at(np_tree, n_per_rank);
     let n_total = np_tree as usize * n_per_rank;
     println!(
-        "treecode  np = {np_tree:>5}: {tree_wall:>7.2} s wall, N = {n_total}, \
-         {interactions} interactions"
+        "treecode  np = {np_tree:>5}: {:>7.2} s wall, N = {n_total}, {} interactions, \
+         max {} walk rounds / {} consensus allreduces per rank",
+        tc.wall_s, tc.interactions, tc.max_rounds, tc.max_consensus_iters
     );
     rule();
 
@@ -115,10 +139,16 @@ fn main() {
         "collectives blew the 120 s budget: {coll:?}"
     );
     assert!(
-        tree_wall < 900.0,
-        "treecode step blew the 900 s budget: {tree_wall:.1} s"
+        tc.wall_s < 900.0,
+        "treecode step blew the 900 s budget: {:.1} s",
+        tc.wall_s
     );
-    assert!(interactions > 0, "treecode step did no work");
+    assert!(tc.interactions > 0, "treecode step did no work");
+    assert!(
+        tc.max_rounds <= MAX_WALK_ROUNDS,
+        "walk took {} request rounds on some rank (bound {MAX_WALK_ROUNDS})",
+        tc.max_rounds
+    );
 
     let mut json = String::from("{\n  \"collectives\": [\n");
     for (i, (np, wall, max_sends)) in coll.iter().enumerate() {
@@ -129,7 +159,9 @@ fn main() {
     }
     json.push_str(&format!(
         "  ],\n  \"treecode\": {{\"np\": {np_tree}, \"n_per_rank\": {n_per_rank}, \
-         \"wall_s\": {tree_wall:.3}, \"interactions\": {interactions}}}\n}}\n"
+         \"wall_s\": {:.3}, \"interactions\": {}, \"max_walk_rounds\": {}, \
+         \"max_walk_consensus_iters\": {}}}\n}}\n",
+        tc.wall_s, tc.interactions, tc.max_rounds, tc.max_consensus_iters
     ));
     let path = std::path::Path::new("results").join("BENCH_event_scale.json");
     std::fs::create_dir_all("results").expect("create results dir");

@@ -65,9 +65,26 @@ enum Reason {
 
 thread_local! {
     /// Side-channel from the yielding fiber to the worker that resumed it.
-    /// Set immediately before `fiber_yield`; read exactly once after
-    /// `resume` returns on the same worker thread.
+    /// Set immediately before `fiber_yield` (only by [`yield_with`]); read
+    /// exactly once after `resume` returns on the same worker thread.
     static REASON: Cell<Reason> = const { Cell::new(Reason::Preempt) };
+}
+
+/// Record `reason` for the current worker and suspend the fiber.
+///
+/// Never inlined: a fiber can resume on a different worker thread than
+/// the one it yielded from, but the compiler assumes a function runs on
+/// one thread and may compute a thread-local's address once per frame.
+/// Inlined into a loop that yields (`wait_message`), that address is
+/// hoisted out of the loop, and after a migration the fiber writes its
+/// reason into the *previous* worker's slot; that worker can then park
+/// its own rank on another fiber's `Block { seen }` and lose a wakeup.
+/// Here the address is taken on each call, before the switch, on the
+/// thread that owns it.
+#[inline(never)]
+fn yield_with(reason: Reason) {
+    REASON.with(|r| r.set(reason));
+    fiber_yield();
 }
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -350,14 +367,12 @@ impl Scheduler for EventSched {
         if self.seeded {
             // Serialized exploration: every channel op is a schedule
             // decision point, exactly like FuzzScheduler.
-            REASON.with(|r| r.set(Reason::Preempt));
-            fiber_yield();
+            yield_with(Reason::Preempt);
             return;
         }
         let n = self.ops[rank as usize].fetch_add(1, Ordering::Relaxed) + 1;
         if n.is_multiple_of(PREEMPT_EVERY) {
-            REASON.with(|r| r.set(Reason::Preempt));
-            fiber_yield();
+            yield_with(Reason::Preempt);
         }
     }
 
@@ -385,8 +400,7 @@ impl Scheduler for EventSched {
                 }
                 st.wants[r] = Some(want.clone());
             }
-            REASON.with(|c| c.set(Reason::Block { seen }));
-            fiber_yield();
+            yield_with(Reason::Block { seen });
             let st = self.state.lock().expect("event sched lock");
             if let Some(d) = &st.deadlock {
                 return Err(d.clone());

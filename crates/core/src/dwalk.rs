@@ -20,6 +20,17 @@
 //!   which makes the per-round request sets — and therefore every logical
 //!   message and byte count — a pure function of the walk, independent of
 //!   message schedules.
+//! * **Frontier gathering** — a parked walk does not want just its
+//!   blocking key: a read-only lookahead over the rest of its stack (same
+//!   MAC, descending only through resident children) adds every remote
+//!   leaf without cached bodies and every remote cell with unfetched
+//!   children it can already see. The walk would open each of those keys
+//!   later anyway, so the distinct keys requested do not change, but a
+//!   rank with a single sink group — nothing to switch to — needs about
+//!   as many rounds as the remote descent is deep instead of one round
+//!   per remote leaf. Each round is a machine-wide consensus, so this is
+//!   what bounds the walk's cost at low density (the paper's ABM batching
+//!   and Dubinski's few-exchange locally-essential fetch, in round form).
 //! * **Speculative subtree prefetch** — when serving a children request
 //!   the owner piggybacks descendant cell records ([`WalkConfig`]
 //!   `prefetch_levels` deep, within `prefetch_budget` wire bytes) onto the
@@ -52,7 +63,7 @@ use bytes::Bytes;
 use hot_base::Vec3;
 use hot_comm::{from_bytes, Abm, Comm, KeyBatchRequest, Wire};
 use hot_morton::Key;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Message kinds on the ABM channel. Kinds 1–4 are the blocking baseline's
 /// per-key protocol; kinds 5–7 carry the coalesced pipeline.
@@ -183,8 +194,8 @@ struct GroupWalk<M: Moments> {
     stats: WalkStats,
 }
 
-/// Why a walk parked. `Ord` so parked walks live in a `BTreeMap` and
-/// round-boundary reactivation happens in a deterministic order.
+/// Why a walk parked. `Ord` so wants live in the round's `BTreeSet` and
+/// the blocking baseline's `BTreeMap` of parked walks.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 enum Want {
     Children(u64),
@@ -217,6 +228,10 @@ pub struct DwalkStats {
     /// Request rounds this rank participated in with at least one request
     /// of its own (coalesced mode only).
     pub rounds: u64,
+    /// Termination/round-consensus allreduces this rank joined.
+    /// Schedule-dependent (how many iterations pass before the machine is
+    /// quiescent depends on arrival interleaving), so never traced.
+    pub consensus_iters: u64,
     /// Cells installed speculatively from piggybacked reply records.
     pub prefetched_cells: u64,
     /// Wire bytes of speculatively installed records.
@@ -332,8 +347,14 @@ fn initial_walks<M: Moments>(dt: &DistTree<M>, group_size: usize) -> Vec<GroupWa
 ///
 /// Structured as globally synchronized request rounds:
 ///
-/// 1. drain every runnable walk, accumulating the round's newly wanted
-///    keys per owner (deduplicated against walks already parked);
+/// 1. drain every runnable walk. A walk that parks contributes its
+///    blocking key plus every missing key [`lookahead`] finds on its
+///    remaining frontier; all of them go into the round's per-owner
+///    wants, deduplicated by the round's `requested` set. The same set,
+///    cleared at the wake, is how the reply handler tells a requested
+///    children reply from a speculative prefetch. The lookahead reads only
+///    state fixed at the round boundary (no message is handled while walks
+///    run), so request sets stay a pure function of the walk;
 /// 2. post at most one [`KeyBatchRequest`] per owner;
 /// 3. serve peers / absorb replies until no message is pollable, applying
 ///    one queued finished list per idle window (`overlap_apply`);
@@ -361,15 +382,33 @@ fn dwalk_pipelined<M: Moments, C: ListConsumer<M>>(
 ) -> DwalkStats {
     let mut stats = DwalkStats::default();
     let mut active = initial_walks(dt, group_size);
-    let mut parked: BTreeMap<Want, Vec<GroupWalk<M>>> = BTreeMap::new();
+    // Walks wake together at the round boundary and each one's run reads
+    // only round-fixed state, so their order cannot change a request set.
+    let mut parked: Vec<GroupWalk<M>> = Vec::new();
+    // Every key requested this round (parks and lookahead alike); cleared
+    // at the wake. Dedups the round's requests and tells a requested reply
+    // from a speculative prefetch.
+    let mut requested: BTreeSet<Want> = BTreeSet::new();
+    let mut scan: Vec<u32> = Vec::new();
     let mut finished: VecDeque<GroupWalk<M>> = VecDeque::new();
     let mut pf = PrefetchLedger::default();
     let mut abm = Abm::new(comm, cfg.abm_batch);
 
     let mut prev = (u64::MAX, u64::MAX, u64::MAX);
     loop {
-        // (1) Drain runnable walks; gather the round's new wants per owner.
+        // (1) Drain runnable walks; gather the round's new wants per owner:
+        // each parked walk's blocking key plus every missing key its
+        // remaining frontier can see.
         let mut wants: BTreeMap<u32, (Vec<u64>, Vec<u64>)> = BTreeMap::new();
+        let mut request = |want: Want, owner: u32| {
+            if requested.insert(want) {
+                let (cells, bodies) = wants.entry(owner).or_default();
+                match want {
+                    Want::Children(key) => cells.push(key),
+                    Want::Bodies(key) => bodies.push(key),
+                }
+            }
+        };
         while let Some(mut w) = active.pop() {
             match run_walk(dt, mac, &mut w, &mut pf) {
                 WalkOutcome::Done => {
@@ -382,14 +421,9 @@ fn dwalk_pipelined<M: Moments, C: ListConsumer<M>>(
                 }
                 WalkOutcome::Park { want, owner } => {
                     stats.parks += 1;
-                    if !parked.contains_key(&want) {
-                        let (cells, bodies) = wants.entry(owner).or_default();
-                        match want {
-                            Want::Children(key) => cells.push(key),
-                            Want::Bodies(key) => bodies.push(key),
-                        }
-                    }
-                    parked.entry(want).or_default().push(w);
+                    request(want, owner);
+                    lookahead(dt, mac, &w, &mut scan, &mut request);
+                    parked.push(w);
                 }
             }
         }
@@ -408,7 +442,7 @@ fn dwalk_pipelined<M: Moments, C: ListConsumer<M>>(
         loop {
             abm.flush_all();
             let handled = {
-                let mut handler = make_batch_handler(dt, &parked, &mut pf, cfg);
+                let mut handler = make_batch_handler(dt, &requested, &mut pf, cfg);
                 abm.poll(&mut handler)
             };
             if handled > 0 {
@@ -422,8 +456,9 @@ fn dwalk_pipelined<M: Moments, C: ListConsumer<M>>(
         }
         // (4) Round consensus: wake everything parked once the machine is
         // quiescent (every request answered, every reply delivered).
-        let pending = parked.values().map(|v| v.len() as u64).sum::<u64>();
+        let pending = parked.len() as u64;
         let s = abm.stats();
+        stats.consensus_iters += 1;
         let totals = abm
             .comm_mut()
             .allreduce((s.posted, s.delivered, pending), |a, b| {
@@ -433,9 +468,8 @@ fn dwalk_pipelined<M: Moments, C: ListConsumer<M>>(
             if totals.2 == 0 && totals == prev {
                 break;
             }
-            for (_, walks) in std::mem::take(&mut parked) {
-                active.extend(walks);
-            }
+            requested.clear();
+            active.append(&mut parked);
         }
         prev = totals;
     }
@@ -517,6 +551,7 @@ fn dwalk_blocking<M: Moments, C: ListConsumer<M>>(
         }
         let pending = parked.values().map(|v| v.len() as u64).sum::<u64>();
         let s = abm.stats();
+        stats.consensus_iters += 1;
         let totals = abm
             .comm_mut()
             .allreduce((s.posted, s.delivered, pending), |a, b| {
@@ -701,6 +736,47 @@ fn run_walk<M: Moments>(
     WalkOutcome::Done
 }
 
+/// Frontier gathering for a parked walk: a read-only scan of the global
+/// nodes left on its stack below the re-pushed blocking node, with the
+/// walk's own MAC, descending only through resident children. Every
+/// non-resident key it meets — a remote leaf whose bodies are not cached,
+/// or a remote cell whose children are unfetched — goes to `want`. The
+/// walk will open each of these keys later (its stack entries are never
+/// dropped), so the round requests now what the walk would otherwise park
+/// on one round at a time. `Ref::Local` entries never park and are skipped.
+fn lookahead<M: Moments>(
+    dt: &DistTree<M>,
+    mac: &Mac,
+    w: &GroupWalk<M>,
+    scan: &mut Vec<u32>,
+    want: &mut impl FnMut(Want, u32),
+) {
+    let g = &dt.local.cells[w.gi as usize];
+    let (gc, gr) = (g.center, g.bmax);
+    let below = &w.stack[..w.stack.len().saturating_sub(1)];
+    scan.clear();
+    scan.extend(below.iter().filter_map(|r| match *r {
+        Ref::Node(ni) => Some(ni),
+        Ref::Local(_) => None,
+    }));
+    while let Some(ni) = scan.pop() {
+        let node = &dt.nodes[ni as usize];
+        if node.n == 0 || mac.accepts_raw(node.center, node.bmax, node.moments.b2(), gc, gr) {
+            continue;
+        }
+        match &node.children {
+            DChildren::Nodes(kids) => scan.extend_from_slice(kids),
+            DChildren::LocalSubtree => {}
+            DChildren::RemoteLeaf => {
+                if !dt.body_cache.contains_key(&ni) {
+                    want(Want::Bodies(node.key.0), node.owner);
+                }
+            }
+            DChildren::RemoteUnfetched => want(Want::Children(node.key.0), node.owner),
+        }
+    }
+}
+
 /// Install a body reply into the remote-leaf cache.
 fn install_bodies<M: Moments>(dt: &mut DistTree<M>, key: u64, pairs: Vec<(Vec3, M::Charge)>) {
     let ni = dt
@@ -803,11 +879,11 @@ fn post_chunked<T: Wire>(ep: &mut Abm<'_>, dst: u32, kind: u16, entries: Vec<T>,
 /// ABM handler for the coalesced pipeline. Replies install data but never
 /// reactivate walks — reactivation waits for the round boundary, which is
 /// what keeps request sets schedule-independent. A reply entry whose key
-/// nobody here parked on is a speculative prefetch and is ledgered as
-/// such.
+/// is not in this round's `requested` set is a speculative prefetch and
+/// is ledgered as such.
 fn make_batch_handler<'h, M: Moments>(
     dt: &'h mut DistTree<M>,
-    parked: &'h BTreeMap<Want, Vec<GroupWalk<M>>>,
+    requested: &'h BTreeSet<Want>,
     pf: &'h mut PrefetchLedger,
     cfg: &'h WalkConfig,
 ) -> impl FnMut(&mut Abm<'_>, u32, u16, Bytes) + 'h {
@@ -819,9 +895,9 @@ fn make_batch_handler<'h, M: Moments>(
         K_REP_CELL_BATCH => {
             let entries: Vec<(u64, Vec<CellRecord<M>>)> = from_bytes(payload);
             for (key, records) in entries {
-                let requested = parked.contains_key(&Want::Children(key));
+                let was_requested = requested.contains(&Want::Children(key));
                 let installed = dt.install_children(Key(key), &records);
-                if !requested && !installed.is_empty() {
+                if !was_requested && !installed.is_empty() {
                     let bytes = records.wire_size() as u64;
                     pf.cells += records.len() as u64;
                     pf.bytes += bytes;
@@ -878,7 +954,7 @@ fn make_handler<'h, M: Moments>(
 
 #[cfg(test)]
 mod tests {
-    use hot_comm::RunConfig;
+    use hot_comm::{RunConfig, Runtime};
     use super::*;
     use crate::decomp::{decompose, Body};
     use crate::ilist::Segment;
@@ -1023,9 +1099,27 @@ mod tests {
         coverage_run_with(3, 300, 0.5, false, cfg);
     }
 
+    /// Decompose `n_per` bodies per rank, build the local tree and
+    /// exchange branches.
+    fn dist_tree(c: &mut Comm, n_per: usize, seed: u64, clustered: bool) -> DistTree<MassMoments> {
+        let bodies = make_bodies(c, n_per, seed, clustered);
+        let (mine, iv) = decompose(c, bodies, 32);
+        let pos: Vec<Vec3> = mine.iter().map(|b| b.pos).collect();
+        let q: Vec<f64> = mine.iter().map(|b| b.charge).collect();
+        let tree = Tree::<MassMoments>::build(Aabb::unit(), &pos, &q, 8);
+        DistTree::build(c, tree, iv)
+    }
+
+    /// The low-density case: 16 bodies per rank and a group bound above
+    /// any rank's count, so each rank walks a single sink group and has
+    /// no other walk to switch to while one is parked.
+    const SPARSE_PER_RANK: usize = 16;
+    const SPARSE_GROUP: usize = 64;
+
     /// Every pipeline configuration must produce the same lists, and so
     /// the same coverage sums (bitwise), interaction counts, and request
     /// key sets — only message counts and prefetch traffic may differ.
+    /// Checked on a dense clustered case and on the low-density case.
     #[test]
     fn pipeline_configs_agree_bitwise() {
         let configs = [
@@ -1039,26 +1133,54 @@ mod tests {
                 ..WalkConfig::default()
             },
         ];
+        // (np, bodies per rank, clustered, group bound)
+        let cases = [(4u32, 350usize, true, 16usize), (16, SPARSE_PER_RANK, false, SPARSE_GROUP)];
         type RankResult = (Vec<u64>, u64, u64, u64);
-        let mut reference: Option<Vec<RankResult>> = None;
-        for cfg in configs {
-            let out = RunConfig::builder().np(4).run(move |c| {
-                let bodies = make_bodies(c, 350, 99, true);
-                let (mine, iv) = decompose(c, bodies, 32);
-                let pos: Vec<Vec3> = mine.iter().map(|b| b.pos).collect();
-                let q: Vec<f64> = mine.iter().map(|b| b.charge).collect();
-                let tree = Tree::<MassMoments>::build(Aabb::unit(), &pos, &q, 8);
-                let mut dt = DistTree::build(c, tree, iv);
-                let mut cov = MassCoverage { seen: vec![0.0; dt.local.n_particles()] };
-                let stats =
-                    dwalk_with(c, &mut dt, &Mac::BarnesHut { theta: 0.6 }, &mut cov, 16, &cfg);
-                let bits: Vec<u64> = cov.seen.iter().map(|s| s.to_bits()).collect();
-                (bits, stats.walk.pp, stats.walk.pc, stats.walk.opened)
-            });
-            match &reference {
-                None => reference = Some(out.results),
-                Some(r) => assert_eq!(r, &out.results, "pipeline {cfg:?} diverged"),
+        for (np, n_per, clustered, group) in cases {
+            let mut reference: Option<Vec<RankResult>> = None;
+            for cfg in configs {
+                let out = RunConfig::builder().np(np).run(move |c| {
+                    let mut dt = dist_tree(c, n_per, 99, clustered);
+                    let mut cov = MassCoverage { seen: vec![0.0; dt.local.n_particles()] };
+                    let mac = Mac::BarnesHut { theta: 0.6 };
+                    let stats = dwalk_with(c, &mut dt, &mac, &mut cov, group, &cfg);
+                    let bits: Vec<u64> = cov.seen.iter().map(|s| s.to_bits()).collect();
+                    (bits, stats.walk.pp, stats.walk.pc, stats.walk.opened)
+                });
+                match &reference {
+                    None => reference = Some(out.results),
+                    Some(r) => assert_eq!(r, &out.results, "np={np}: pipeline {cfg:?} diverged"),
+                }
             }
+        }
+    }
+
+    /// Frontier gathering requests early what the walk would open later,
+    /// never more: with prefetch off, each rank's distinct cell and body
+    /// keys equal the blocking baseline's. And with one walk per rank it
+    /// bounds the rounds by the depth of the remote descent instead of
+    /// the number of remote leaves (hundreds without the lookahead).
+    #[test]
+    fn lookahead_never_over_requests() {
+        for np in [16u32, 64] {
+            let run = |cfg: WalkConfig| {
+                RunConfig::builder().np(np).runtime(Runtime::Events).workers(1).run(move |c| {
+                    let mut dt = dist_tree(c, SPARSE_PER_RANK, 4242, false);
+                    assert_eq!(dt.local.groups(SPARSE_GROUP).len(), 1, "not one group per rank");
+                    let mut cov = MassCoverage { seen: vec![0.0; dt.local.n_particles()] };
+                    let mac = Mac::BarnesHut { theta: 0.6 };
+                    let s = dwalk_with(c, &mut dt, &mac, &mut cov, SPARSE_GROUP, &cfg);
+                    (s.cell_requests, s.body_requests, s.rounds)
+                })
+            };
+            let blocking = run(WalkConfig::blocking());
+            let gathered = run(WalkConfig::default().with_prefetch(0, 0));
+            for (rank, (b, g)) in blocking.results.iter().zip(&gathered.results).enumerate() {
+                assert_eq!((b.0, b.1), (g.0, g.1), "np={np} rank={rank}: keys requested differ");
+                assert!(g.2 <= 8, "np={np} rank={rank}: {} rounds", g.2);
+            }
+            let keys: u64 = gathered.results.iter().map(|g| g.0 + g.1).sum();
+            assert!(keys > 0, "np={np}: no remote data requested");
         }
     }
 
@@ -1069,12 +1191,7 @@ mod tests {
     fn coalescing_reduces_request_messages() {
         let run = |cfg: WalkConfig| {
             RunConfig::builder().np(4).run(move |c| {
-                let bodies = make_bodies(c, 350, 7, false);
-                let (mine, iv) = decompose(c, bodies, 32);
-                let pos: Vec<Vec3> = mine.iter().map(|b| b.pos).collect();
-                let q: Vec<f64> = mine.iter().map(|b| b.charge).collect();
-                let tree = Tree::<MassMoments>::build(Aabb::unit(), &pos, &q, 8);
-                let mut dt = DistTree::build(c, tree, iv);
+                let mut dt = dist_tree(c, 350, 7, false);
                 let mut cov = MassCoverage { seen: vec![0.0; dt.local.n_particles()] };
                 let stats =
                     dwalk_with(c, &mut dt, &Mac::BarnesHut { theta: 0.5 }, &mut cov, 16, &cfg);
